@@ -22,7 +22,7 @@ test:
 	go test ./...
 
 race:
-	go test -race ./internal/livenet/ ./internal/par/ ./internal/sim/ ./internal/ktree/ ./internal/daemon/ ./internal/faults/ ./internal/lbnode/ ./internal/protocol/ ./internal/wire/ ./internal/cluster/
+	go test -race ./internal/livenet/ ./internal/par/ ./internal/sim/ ./internal/ktree/ ./internal/faults/ ./internal/lbnode/ ./internal/protocol/ ./internal/wire/ ./internal/cluster/
 
 fmt:
 	gofmt -s -w .

@@ -12,7 +12,6 @@ import (
 
 	"p2plb/internal/chord"
 	"p2plb/internal/core"
-	"p2plb/internal/daemon"
 	"p2plb/internal/exp"
 	"p2plb/internal/ktree"
 	"p2plb/internal/objects"
@@ -470,7 +469,7 @@ func TestRingBuildSubQuadratic(t *testing.T) {
 	}
 }
 
-// BenchmarkDriftMaintenance runs the daemon over an object-backed
+// BenchmarkDriftMaintenance runs periodic rounds over an object-backed
 // drifting workload (10% churn per round, 8 rounds) and reports the
 // steady-state imbalance containment.
 func BenchmarkDriftMaintenance(b *testing.B) {
@@ -495,28 +494,22 @@ func BenchmarkDriftMaintenance(b *testing.B) {
 		if err := tree.Build(); err != nil {
 			b.Fatal(err)
 		}
-		d, err := daemon.New(ring, tree, daemon.Config{
-			RoundInterval: 5000,
-			Protocol:      protocol.Config{Core: core.Config{Epsilon: 0.05}},
-			BeforeRound: func() {
-				if err := store.Drift(rng, 10_000, loadFn); err != nil {
-					b.Fatal(err)
-				}
-			},
+		cfg := protocol.Config{Core: core.Config{Epsilon: 0.05}}
+		hist, err := exp.PeriodicRounds(ring, tree, cfg, 5000, 8, func() {
+			if err := store.Drift(rng, 10_000, loadFn); err != nil {
+				b.Fatal(err)
+			}
 		})
 		if err != nil {
 			b.Fatal(err)
 		}
-		d.Start()
-		eng.RunUntil(40_000)
-		d.Stop()
-		eng.Run()
-		sum := d.Summarize()
-		if sum.Failed > 0 {
-			b.Fatalf("%d rounds failed", sum.Failed)
+		for j, rec := range hist {
+			if rec.Err != nil {
+				b.Fatalf("round %d failed: %v", j, rec.Err)
+			}
+			giniPre += rec.GiniBefore / float64(len(hist))
+			giniPost += rec.GiniAfter / float64(len(hist))
 		}
-		giniPre += sum.MeanGiniPre
-		giniPost += sum.MeanGiniPost
 	}
 	n := float64(b.N)
 	b.ReportMetric(giniPre/n, "meanGiniPre")

@@ -9,15 +9,15 @@
 # floatorder) — see DESIGN.md "Enforced invariants". The race pass
 # covers the packages that exercise real concurrency (livenet's
 # goroutine-per-subtree rounds, par's worker pools, sim's engine
-# contract, ktree's, daemon's and faults' goroutine-spawning tests,
-# lbnode — whose machines are single-goroutine by construction but
-# whose cross-executor equivalence test drives the concurrent livenet
-# rounds — protocol, whose opt-in parallel subtree stepper runs one
-# goroutine per root-child subtree, wire's reader/retry goroutines,
-# and cluster's in-process daemon tests; cluster's child-process e2e
-# tests skip themselves under -race via a build tag, since the race
-# runtime doesn't cross exec). The rest of the tree is
-# single-goroutine by design.
+# contract, ktree's parallel tree build and faults' goroutine-spawning
+# tests, lbnode — whose machines are single-goroutine by construction
+# but whose cross-executor equivalence test drives the concurrent
+# livenet rounds — protocol, a single-goroutine sim executor whose
+# rounds rebuild and repair the tree through ktree's parallel build, wire's
+# reader/retry goroutines, and cluster's in-process daemon tests;
+# cluster's child-process e2e tests skip themselves under -race via a
+# build tag, since the race runtime doesn't cross exec). The rest of
+# the tree is single-goroutine by design.
 #
 # The project binaries (lbvet, lbbench) are built exactly once into a
 # temp dir and reused by every later step — `go run` would rebuild
@@ -60,7 +60,7 @@ echo "== go test"
 go test ./...
 
 echo "== go test -race (concurrent packages)"
-go test -race ./internal/livenet/ ./internal/par/ ./internal/sim/ ./internal/ktree/ ./internal/daemon/ ./internal/faults/ ./internal/lbnode/ ./internal/protocol/ ./internal/wire/ ./internal/cluster/
+go test -race ./internal/livenet/ ./internal/par/ ./internal/sim/ ./internal/ktree/ ./internal/faults/ ./internal/lbnode/ ./internal/protocol/ ./internal/wire/ ./internal/cluster/
 
 echo "== lbbench scale smoke (time-boxed, determinism-diffed)"
 # A small scale run keeps the O(log n) maintenance path honest without

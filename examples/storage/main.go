@@ -2,9 +2,9 @@
 // object-backed workload. Objects are hashed into the identifier space
 // (a virtual server's load is the sum of its objects' loads — the
 // paper's own justification for the Gaussian model), 10% of the object
-// population churns between rounds, and the daemon periodically runs
-// full message-level balancing rounds while keeping the K-nary tree
-// repaired.
+// population churns between rounds, and every 5,000 ticks the tree is
+// repaired and a full message-level balancing round runs
+// (exp.PeriodicRounds).
 //
 //	go run ./examples/storage
 package main
@@ -16,7 +16,7 @@ import (
 
 	"p2plb/internal/chord"
 	"p2plb/internal/core"
-	"p2plb/internal/daemon"
+	"p2plb/internal/exp"
 	"p2plb/internal/ktree"
 	"p2plb/internal/objects"
 	"p2plb/internal/protocol"
@@ -50,40 +50,39 @@ func main() {
 		log.Fatal(err)
 	}
 
-	d, err := daemon.New(ring, tree, daemon.Config{
-		RoundInterval:  5_000,
-		RepairInterval: 1_000,
-		Protocol:       protocol.Config{Core: core.Config{Epsilon: 0.05}},
-		BeforeRound: func() {
-			// Workload drift between rounds: 10% of objects churn.
-			if err := store.Drift(rng, 10_000, loadFn); err != nil {
-				log.Fatal(err)
-			}
-		},
+	cfg := protocol.Config{Core: core.Config{Epsilon: 0.05}}
+	hist, err := exp.PeriodicRounds(ring, tree, cfg, 5_000, 12, func() {
+		// Workload drift between rounds: 10% of objects churn.
+		if err := store.Drift(rng, 10_000, loadFn); err != nil {
+			log.Fatal(err)
+		}
 	})
 	if err != nil {
 		log.Fatal(err)
 	}
-	if err := d.Start(); err != nil {
-		log.Fatal(err)
-	}
-	eng.RunUntil(60_000)
-	d.Stop()
-	eng.Run()
 
 	fmt.Println("\n round  t(start)  Gini before  Gini after  moved load  transfers")
-	for i, rec := range d.History() {
+	failed := 0
+	var moved, giniPre, giniPost float64
+	for i, rec := range hist {
 		if rec.Err != nil {
+			failed++
 			fmt.Printf("%6d  %8d  round failed: %v\n", i+1, rec.StartedAt, rec.Err)
 			continue
 		}
+		moved += rec.Result.MovedLoad
+		giniPre += rec.GiniBefore
+		giniPost += rec.GiniAfter
 		fmt.Printf("%6d  %8d  %11.3f  %10.3f  %10.0f  %9d\n",
 			i+1, rec.StartedAt, rec.GiniBefore, rec.GiniAfter,
 			rec.Result.MovedLoad, len(rec.Result.Assignments))
 	}
-	sum := d.Summarize()
+	if ok := float64(len(hist) - failed); ok > 0 {
+		giniPre /= ok
+		giniPost /= ok
+	}
 	fmt.Printf("\n%d rounds (%d failed), %.0f load moved in total; mean Gini %.3f -> %.3f\n",
-		sum.Rounds, sum.Failed, sum.TotalMoved, sum.MeanGiniPre, sum.MeanGiniPost)
+		len(hist), failed, moved, giniPre, giniPost)
 	if err := store.CheckLoads(1e-6); err != nil {
 		log.Fatal(err)
 	}

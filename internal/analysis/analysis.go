@@ -41,7 +41,7 @@
 //     opaque frames below every executor, though its own goroutines
 //     are legitimate.
 //   - lockguard: guarded-field inference for the concurrent packages
-//     (livenet, daemon, metrics) — a struct field written under
+//     (livenet, metrics) — a struct field written under
 //     mu.Lock() anywhere must be accessed under the same mutex
 //     everywhere, catching races -race only sees when the schedule
 //     cooperates.

@@ -7,9 +7,9 @@ import (
 )
 
 // LockguardPkgs are the packages with real shared-memory concurrency,
-// matched by import-path suffix: the channel-based live network, the
-// serving daemon, and the metrics registry.
-var LockguardPkgs = []string{"internal/livenet", "internal/daemon", "internal/metrics"}
+// matched by import-path suffix: the channel-based live network and
+// the metrics registry.
+var LockguardPkgs = []string{"internal/livenet", "internal/metrics"}
 
 // Lockguard infers guarded fields and checks they stay guarded: a
 // struct field written under an exclusive s.mu.Lock() anywhere in the

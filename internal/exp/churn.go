@@ -4,7 +4,6 @@ import (
 	"fmt"
 
 	"p2plb/internal/core"
-	"p2plb/internal/daemon"
 	"p2plb/internal/par"
 	"p2plb/internal/protocol"
 	"p2plb/internal/sim"
@@ -91,48 +90,39 @@ func churnRow(s Setup, rate, rounds int) (ChurnRow, error) {
 	if inst.Graph != nil {
 		interval = sim.Time(9 * 5000 * (inst.Tree.Height() + 2))
 	}
-	d, err := daemon.New(inst.Ring, inst.Tree, daemon.Config{
-		RoundInterval: interval,
-		Protocol:      protocol.Config{Core: core.Config{Epsilon: inst.Setup.Epsilon}},
-		BeforeRound: func() {
-			// One membership snapshot per round with swap-remove
-			// sampling: uniform over the round's initial membership and
-			// O(rate) instead of re-materializing AliveNodes() (O(n))
-			// after every crash.
-			alive := inst.Ring.AliveNodes()
-			for i := 0; i < rate && len(alive) > 0; i++ {
-				j := inst.Engine.Rand().Intn(len(alive))
-				inst.Ring.RemoveNode(alive[j])
-				alive[j] = alive[len(alive)-1]
-				alive = alive[:len(alive)-1]
+	cfg := protocol.Config{Core: core.Config{Epsilon: inst.Setup.Epsilon}}
+	hist, err := PeriodicRounds(inst.Ring, inst.Tree, cfg, interval, rounds, func() {
+		// One membership snapshot per round with swap-remove
+		// sampling: uniform over the round's initial membership and
+		// O(rate) instead of re-materializing AliveNodes() (O(n))
+		// after every crash.
+		alive := inst.Ring.AliveNodes()
+		for i := 0; i < rate && len(alive) > 0; i++ {
+			j := inst.Engine.Rand().Intn(len(alive))
+			inst.Ring.RemoveNode(alive[j])
+			alive[j] = alive[len(alive)-1]
+			alive = alive[:len(alive)-1]
+		}
+		for i := 0; i < rate; i++ {
+			u := topology.NodeID(-1)
+			if len(stubs) > 0 {
+				u = stubs[inst.Engine.Rand().Intn(len(stubs))]
 			}
-			for i := 0; i < rate; i++ {
-				u := topology.NodeID(-1)
-				if len(stubs) > 0 {
-					u = stubs[inst.Engine.Rand().Intn(len(stubs))]
-				}
-				// Fresh nodes arrive with freshly loaded regions: the
-				// ring redistributed the dead nodes' loads to ring
-				// successors; joiners start with whatever falls into
-				// their new regions (zero until objects/loads move),
-				// which is exactly the imbalance the next round fixes.
-				inst.Ring.AddNode(u, profile.Sample(inst.Engine.Rand()), vsPerNode)
-			}
-		},
+			// Fresh nodes arrive with freshly loaded regions: the
+			// ring redistributed the dead nodes' loads to ring
+			// successors; joiners start with whatever falls into
+			// their new regions (zero until objects/loads move),
+			// which is exactly the imbalance the next round fixes.
+			inst.Ring.AddNode(u, profile.Sample(inst.Engine.Rand()), vsPerNode)
+		}
 	})
 	if err != nil {
 		return ChurnRow{}, err
 	}
-	if err := d.Start(); err != nil {
-		return ChurnRow{}, err
-	}
-	inst.Engine.RunUntil(interval*sim.Time(rounds) + interval/2)
-	d.Stop()
-	inst.Engine.Run()
 
 	row := ChurnRow{Churn: rate}
 	steady := 0
-	for i, rec := range d.History() {
+	for i, rec := range hist {
 		row.Rounds++
 		if rec.Err != nil {
 			row.Failed++

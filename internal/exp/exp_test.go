@@ -269,10 +269,20 @@ func TestChurnSensitivity(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(rows) != 2 {
+	// Pinned rows: a change to how rounds are scheduled that shifts RNG
+	// draws or event order moves these even when the qualitative checks
+	// below still hold.
+	want := []ChurnRow{
+		{Churn: 0, Rounds: 5},
+		{Churn: 4, Rounds: 5, MeanHeavyBefore: 18.5, MovedPerRound: 491.0636617984857},
+	}
+	if len(rows) != len(want) {
 		t.Fatalf("got %d rows", len(rows))
 	}
-	for _, r := range rows {
+	for i, r := range rows {
+		if r != want[i] {
+			t.Errorf("row %d = %+v, want %+v", i, r, want[i])
+		}
 		if r.Failed > 0 {
 			t.Errorf("churn %d: %d rounds failed", r.Churn, r.Failed)
 		}

@@ -20,7 +20,6 @@
 package livenet
 
 import (
-	"context"
 	"fmt"
 	"sort"
 	"sync"
@@ -49,42 +48,11 @@ const spawnDepth = 8
 // once per node, from a single goroutine at a time, so driving a pure
 // lbnode machine inside it needs no locking.
 func reduce[T any](root *ktree.Node, eval func(n *ktree.Node, children []T) T) T {
-	return reduceStop(nil, root, eval)
-}
-
-// reduceStop is reduce with a stop channel: once stop is closed, every
-// node whose evaluation has not yet begun is skipped (its zero value
-// propagates upward) and the reduction drains quickly instead of
-// grinding through the remaining subtrees. A parent reads its children
-// before checking stop, so eval never sees a mix of real and skipped
-// child results without the stop flag also being visible to the caller
-// that will discard the tainted root value. Every spawned goroutine
-// sends exactly once into a buffered channel, so an abandoned reduction
-// leaks nothing.
-func reduceStop[T any](stop <-chan struct{}, root *ktree.Node, eval func(n *ktree.Node, children []T) T) T {
-	stopped := func() bool {
-		if stop == nil {
-			return false
-		}
-		select {
-		case <-stop:
-			return true
-		default:
-			return false
-		}
-	}
 	var sequential func(n *ktree.Node) T
 	sequential = func(n *ktree.Node) T {
-		var zero T
-		if stopped() {
-			return zero
-		}
 		var children []T
 		for _, c := range n.Children {
 			children = append(children, sequential(c))
-		}
-		if stopped() {
-			return zero
 		}
 		return eval(n, children)
 	}
@@ -100,14 +68,9 @@ func reduceStop[T any](stop <-chan struct{}, root *ktree.Node, eval func(n *ktre
 			childCh = append(childCh, spawn(c))
 		}
 		go func() {
-			var zero T
 			children := make([]T, len(childCh))
 			for i, ch := range childCh {
 				children[i] = <-ch
-			}
-			if stopped() {
-				out <- zero
-				return
 			}
 			out <- eval(n, children)
 		}()
@@ -122,11 +85,7 @@ func reduceStop[T any](stop <-chan struct{}, root *ktree.Node, eval func(n *ktre
 // child-index order (the machine buffers them, so the sim executor's
 // arrival-order replies fold identically).
 func AggregateLBI(tree *ktree.Tree, inbox map[*ktree.Node][]core.LBI) core.LBI {
-	return aggregateLBIStop(nil, tree, inbox)
-}
-
-func aggregateLBIStop(stop <-chan struct{}, tree *ktree.Tree, inbox map[*ktree.Node][]core.LBI) core.LBI {
-	return reduceStop(stop, tree.Root(), func(n *ktree.Node, children []core.LBI) core.LBI {
+	return reduce(tree.Root(), func(n *ktree.Node, children []core.LBI) core.LBI {
 		col := lbnode.NewLBICollect(inbox[n], len(children))
 		for i, sub := range children {
 			col.ChildReply(i, sub)
@@ -158,12 +117,8 @@ func (s *pairSink) add(ps []core.Pair) {
 // pairings and the list left unpaired at the root. The inbox PairLists
 // are consumed.
 func SweepVSA(tree *ktree.Tree, inbox map[*ktree.Node]*core.PairList, lmin float64, threshold int) ([]core.Pair, *core.PairList) {
-	return sweepVSAStop(nil, tree, inbox, lmin, threshold)
-}
-
-func sweepVSAStop(stop <-chan struct{}, tree *ktree.Tree, inbox map[*ktree.Node]*core.PairList, lmin float64, threshold int) ([]core.Pair, *core.PairList) {
 	sink := &pairSink{}
-	left := reduceStop(stop, tree.Root(), func(n *ktree.Node, children []*core.PairList) *core.PairList {
+	left := reduce(tree.Root(), func(n *ktree.Node, children []*core.PairList) *core.PairList {
 		col := lbnode.NewVSACollect(inbox[n], len(children))
 		for _, sub := range children {
 			col.ChildReply(sub)
@@ -198,22 +153,7 @@ type Result struct {
 // is reproducible even though execution interleaving is not, and the
 // two executors' transfer sets match exactly.
 func RunRound(ring *chord.Ring, tree *ktree.Tree, cfg core.Config) (*Result, error) {
-	return RunRoundCtx(context.Background(), ring, tree, cfg)
-}
-
-// RunRoundCtx is RunRound with graceful shutdown: when ctx is
-// cancelled, in-flight tree reductions drain (skipping not-yet-started
-// subtrees) and the round returns ctx's error with the ring untouched —
-// cancellation is checked one final time before the transfer phase, and
-// transfers are the only ring mutation, so a cancelled round never
-// leaves a half-applied transfer set. A cancellation that lands after
-// the transfer phase began lets the round finish normally: tearing the
-// transfer loop would trade a clean shutdown for a corrupted ring.
-func RunRoundCtx(ctx context.Context, ring *chord.Ring, tree *ktree.Tree, cfg core.Config) (*Result, error) {
 	if err := cfg.Validate(); err != nil {
-		return nil, err
-	}
-	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
 	if cfg.Mode != core.ProximityIgnorant {
@@ -233,10 +173,7 @@ func RunRoundCtx(ctx context.Context, ring *chord.Ring, tree *ktree.Tree, cfg co
 	place := lbnode.PlaceRound(ring, tree, ring.Engine().Rand(), nil)
 	lbiInbox := make(map[*ktree.Node][]core.LBI)
 	place.DepositReports(lbiInbox)
-	global := aggregateLBIStop(ctx.Done(), tree, lbiInbox)
-	if err := ctx.Err(); err != nil {
-		return nil, err
-	}
+	global := AggregateLBI(tree, lbiInbox)
 	if !global.Valid() {
 		return nil, fmt.Errorf("livenet: no node reported LBI")
 	}
@@ -266,13 +203,7 @@ func RunRoundCtx(ctx context.Context, ring *chord.Ring, tree *ktree.Tree, cfg co
 		}
 		lbnode.DepositVSA(pl, st, 0)
 	}
-	pairs, left := sweepVSAStop(ctx.Done(), tree, vsaInbox, global.Lmin, cfg.RendezvousThreshold)
-	// Last cancellation point: a cancelled sweep returns partial pairs
-	// and a nil leftover list, and past here the round commits its
-	// transfers.
-	if err := ctx.Err(); err != nil {
-		return nil, err
-	}
+	pairs, left := SweepVSA(tree, vsaInbox, global.Lmin, cfg.RendezvousThreshold)
 	// The sink collects pairs in goroutine-completion order; sort them
 	// so the result (including float summation order) is reproducible.
 	sort.Slice(pairs, func(i, j int) bool { return pairs[i].VS.ID < pairs[j].VS.ID }) //lbvet:ignore identcompare total-order sort for a reproducible result order

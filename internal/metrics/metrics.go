@@ -19,7 +19,6 @@
 //	chord.lookup.{hops,latency}
 //	core.phase.*, core.pairs.*, core.moved_load, core.subset.cost
 //	protocol.phase.*, protocol.{timeouts,aborted_transfers}
-//	daemon.gini.{before,after} (series over virtual time)
 //
 // Durations recorded by simulation code are in virtual-time units;
 // wall-clock spans (cmd/lbbench) are in nanoseconds. The unit is part
@@ -162,7 +161,7 @@ type Point struct {
 }
 
 // Series is an append-only time series (virtual time → value), used for
-// slow-changing observables like the daemon's imbalance over time.
+// slow-changing observables such as imbalance over time.
 type Series struct {
 	mu  sync.Mutex
 	pts []Point

@@ -9,8 +9,8 @@
 // stores and the individual loads on these objects are independent."
 // The package lets experiments run with real object populations instead
 // of sampled VS loads, and provides the churn (insert/delete) that
-// drifts loads between balancing rounds — the regime the daemon
-// experiments exercise.
+// drifts loads between balancing rounds — the regime the periodic-round
+// experiments (exp.PeriodicRounds) exercise.
 package objects
 
 import (

@@ -95,19 +95,6 @@ type Config struct {
 	// 5; lossless runs never retransmit, so the knob only matters under
 	// a fault plan.
 	MaxRetries int
-	// ParallelSubtrees runs the LBI and VSA converge-casts of the
-	// root's child subtrees on parallel worker engines (one goroutine
-	// and one derived-seed sim.Engine per root child), exploiting that
-	// on a lossless network the subtrees exchange no messages until
-	// the root merge. The lookahead is conservative: each worker
-	// simulates its whole subtree phase in isolation and the root
-	// replays the subtree's externally visible effects (the reply, the
-	// rendezvous pairings, the message tallies) at their reported
-	// virtual times, so results are equivalent to a sequential run —
-	// see parallel.go for the exact contract. Incompatible with a
-	// fault filter (a filter's state couples the subtrees);
-	// StartRound rejects the combination.
-	ParallelSubtrees bool
 }
 
 // defaultChildTimeout is the per-level slack used when Config leaves
@@ -131,12 +118,12 @@ type Runner struct {
 }
 
 // roundScratch holds the per-round maps (and the report slices inside
-// lbiInbox) that steady-state drivers — the daemon, churn sweeps —
-// would otherwise reallocate every round. A round hands its scratch
-// back only when it finished clean: after a timeout or an aborted
-// transfer, stale epoch events may still read the maps (and a late VSA
-// reply can even mutate its PairList), so such rounds drop the scratch
-// instead of recycling it.
+// lbiInbox) that steady-state callers — periodic rounds, churn sweeps,
+// the serving layer's round scheduler — would otherwise reallocate
+// every round. A round hands its scratch back only when it finished
+// clean: after a timeout or an aborted transfer, stale epoch events may
+// still read the maps (and a late VSA reply can even mutate its
+// PairList), so such rounds drop the scratch instead of recycling it.
 type roundScratch struct {
 	lbiInbox map[*ktree.Node][]core.LBI
 	states   map[*chord.Node]*core.NodeState
@@ -250,12 +237,6 @@ type round struct {
 	vsaEdges  []vsaEdge
 	dispEdges []dispEdge
 
-	onLBIRoot func(core.LBI)
-
-	// Non-nil only on a parallel subtree worker: emitPair records
-	// instead of executing (see parallel.go).
-	deferPairs *[]timedPair
-
 	res    *Result
 	finish func(*Result, error)
 }
@@ -316,9 +297,6 @@ func (r *Runner) StartRound(done func(*Result, error)) error {
 			return err
 		}
 	}
-	if r.cfg.ParallelSubtrees && r.eng.Filter() != nil {
-		return fmt.Errorf("protocol: ParallelSubtrees is incompatible with a fault filter (filter state couples the subtrees)")
-	}
 	// Same contract as core.Balancer.RunRound: a configured LoadSource
 	// snapshots its current view into vs.Load before the LBI sweep reads
 	// it (the serving layer's observed request rates refresh here).
@@ -372,19 +350,22 @@ func (r *Runner) StartRound(done func(*Result, error)) error {
 	// executors deposit identical per-leaf inboxes (see lbnode.PlaceRound).
 	rd.place = lbnode.PlaceRound(r.ring, r.tree, r.eng.Rand(), sc.leafOfVS)
 	rd.place.DepositReports(rd.lbiInbox)
-	rd.collectLBI(r.tree.Root(), func(global core.LBI) {
-		if !global.Valid() {
-			rd.done(nil, fmt.Errorf("protocol: no node reported LBI"))
-			return
-		}
-		rd.global = global
-		rd.res.Global = global
-		rd.res.TimeLBIAggregate = r.eng.Now() - rd.start
-		rd.disseminate(r.tree.Root())
-		// Dissemination completion is tracked per delivery; the VSA
-		// epoch starts once all deliveries and publications are done.
-	})
+	rd.startLBI(r.tree.Root(), nil)
 	return nil
+}
+
+// lbiAggregated continues the round once the root's LBI epoch closes:
+// the global tuple is disseminated hop by hop, and the VSA epoch starts
+// once all deliveries and publications are done (tracked per delivery).
+func (rd *round) lbiAggregated(global core.LBI) {
+	if !global.Valid() {
+		rd.done(nil, fmt.Errorf("protocol: no node reported LBI"))
+		return
+	}
+	rd.global = global
+	rd.res.Global = global
+	rd.res.TimeLBIAggregate = rd.r.eng.Now() - rd.start
+	rd.disseminate(rd.r.tree.Root())
 }
 
 // recordRound publishes one round's outcome to the engine's metrics
@@ -682,22 +663,6 @@ func (rd *round) leafFor(vs *chord.VServer) *ktree.Node {
 	return leaf
 }
 
-// collectLBI pulls <L, C, Lmin> from n's subtree, driving one
-// lbnode.LBICollect epoch per node: leaves answer from their inbox;
-// internal nodes query children, merge replies through the machine, and
-// give up on silent children after the timeout. cb receives the root
-// aggregate; the walk itself runs on slab-pooled lbiNode/lbiEdge
-// objects, one per live tree node and edge, so an epoch costs no
-// per-message closures.
-func (rd *round) collectLBI(n *ktree.Node, cb func(core.LBI)) {
-	rd.onLBIRoot = cb
-	if rd.r.cfg.ParallelSubtrees {
-		rd.startLBIPar(n)
-		return
-	}
-	rd.startLBI(n, nil)
-}
-
 // lbiNode drives one internal node's LBI epoch: the collect machine,
 // the epoch timer, and the link to the parent edge the aggregate
 // reports through (nil at the root).
@@ -726,9 +691,15 @@ type lbiEdge struct {
 	up   lbiUp
 }
 
-// startLBI begins n's epoch; parent is the edge the subtree aggregate
-// reports through, nil at the root. A leaf (or a childless machine)
-// completes synchronously on the caller's stack — no walk objects.
+// startLBI begins n's epoch of the LBI pull converge-cast, which
+// collects <L, C, Lmin> through one lbnode.LBICollect epoch per node:
+// leaves answer from their inbox; internal nodes query children, merge
+// replies through the machine, and give up on silent children after
+// the timeout. parent is the edge the subtree aggregate reports
+// through, nil at the root. A leaf (or a childless machine) completes
+// synchronously on the caller's stack — no walk objects; the rest of
+// the walk runs on slab-pooled lbiNode/lbiEdge objects, one per live
+// tree node and edge, so an epoch costs no per-message closures.
 //
 //lbvet:hotpath
 func (rd *round) startLBI(n *ktree.Node, parent *lbiEdge) {
@@ -776,7 +747,7 @@ func (rd *round) lbiComplete(parent *lbiEdge, agg core.LBI) {
 		rd.reliableEv(MsgReportUp, parent.chi, parent.nd.ni, parent.edge, &parent.up)
 		return
 	}
-	rd.onLBIRoot(agg)
+	rd.lbiAggregated(agg)
 }
 
 type lbiDown struct{ e *lbiEdge }
@@ -960,25 +931,16 @@ func (rd *round) publishDone() {
 func (rd *round) startVSA() {
 	rd.res.HeavyBefore, rd.res.LightBefore, rd.res.NeutralBefore = rd.roster.Census()
 
-	rd.collectVSA(rd.r.tree.Root(), true, func(left *core.PairList) {
-		rd.res.TimeVSAComplete = rd.r.eng.Now() - rd.start
-		rd.res.UnassignedOffers = left.Offers()
-		rd.res.UnassignedLoad = left.OfferLoad()
-		rd.vsaDone = true
-		rd.maybeFinish()
-	})
+	rd.startVSANode(rd.r.tree.Root(), nil)
 }
 
-// collectVSA is the bottom-up VSA sweep, one lbnode.VSACollect epoch
-// per node: children reply with their unpaired lists; rendezvous points
-// (threshold reached, or the root) pair and notify, and everything
-// unpaired flows upward.
-func (rd *round) collectVSA(n *ktree.Node, isRoot bool, cb func(*core.PairList)) {
-	if rd.r.cfg.ParallelSubtrees {
-		rd.startVSAPar(n, cb)
-		return
-	}
-	rd.startVSANode(n, isRoot, nil, cb)
+// vsaSwept records what the root's VSA epoch left unpaired.
+func (rd *round) vsaSwept(left *core.PairList) {
+	rd.res.TimeVSAComplete = rd.r.eng.Now() - rd.start
+	rd.res.UnassignedOffers = left.Offers()
+	rd.res.UnassignedLoad = left.OfferLoad()
+	rd.vsaDone = true
+	rd.maybeFinish()
 }
 
 // vsaNode drives one internal node's VSA epoch — the mirror of lbiNode
@@ -988,10 +950,8 @@ type vsaNode struct {
 	rd       *round
 	n        *ktree.Node
 	ni       int
-	isRoot   bool
 	col      lbnode.VSACollect
-	parent   *vsaEdge
-	rootCb   func(*core.PairList) // only at the root
+	parent   *vsaEdge // nil at the root
 	expire   sim.Timer
 	expireEv vsaExpire
 }
@@ -1007,12 +967,14 @@ type vsaEdge struct {
 	up   vsaUp
 }
 
-// startVSANode begins n's epoch; exactly one of parent (interior) and
-// cb (root) is set. Leaves complete synchronously on the caller's
-// stack.
+// startVSANode begins n's epoch of the bottom-up VSA sweep, one
+// lbnode.VSACollect epoch per node: children reply with their unpaired
+// lists; rendezvous points (threshold reached, or the root) pair and
+// notify, and everything unpaired flows upward. parent is nil at the
+// root. Leaves complete synchronously on the caller's stack.
 //
 //lbvet:hotpath
-func (rd *round) startVSANode(n *ktree.Node, isRoot bool, parent *vsaEdge, cb func(*core.PairList)) {
+func (rd *round) startVSANode(n *ktree.Node, parent *vsaEdge) {
 	owner := n.Host.Owner
 	if !owner.Alive {
 		return
@@ -1023,12 +985,11 @@ func (rd *round) startVSANode(n *ktree.Node, isRoot bool, parent *vsaEdge, cb fu
 	}
 	col := lbnode.MakeVSACollect(rd.vsaInbox[n], len(n.Children))
 	if col.Done() {
-		rd.finishVSA(n, isRoot, &col, parent, cb)
+		rd.finishVSA(n, &col, parent)
 		return
 	}
 	nd := slabAlloc(&rd.vsaNodes)
-	nd.rd, nd.n, nd.ni, nd.isRoot, nd.col = rd, n, ni, isRoot, col
-	nd.parent, nd.rootCb = parent, cb
+	nd.rd, nd.n, nd.ni, nd.col, nd.parent = rd, n, ni, col, parent
 	nd.expireEv.nd = nd
 	for _, c := range n.Children {
 		e := slabAlloc(&rd.vsaEdges)
@@ -1037,7 +998,7 @@ func (rd *round) startVSANode(n *ktree.Node, isRoot bool, parent *vsaEdge, cb fu
 		e.down.e, e.up.e = e, e
 		rd.reliableEv(MsgVSADown, ni, e.chi, e.edge, &e.down)
 	}
-	// As in collectLBI: the last reply revokes the epoch timer.
+	// As in startLBI: the last reply revokes the epoch timer.
 	nd.expire = rd.r.eng.AfterEv(rd.epochWindow(n), &nd.expireEv)
 }
 
@@ -1046,8 +1007,8 @@ func (rd *round) startVSANode(n *ktree.Node, isRoot bool, parent *vsaEdge, cb fu
 // round's continuation at the root).
 //
 //lbvet:hotpath
-func (rd *round) finishVSA(n *ktree.Node, isRoot bool, col *lbnode.VSACollect, parent *vsaEdge, cb func(*core.PairList)) {
-	for _, p := range col.Rendezvous(isRoot, rd.cfg().RendezvousThreshold, rd.global.Lmin) {
+func (rd *round) finishVSA(n *ktree.Node, col *lbnode.VSACollect, parent *vsaEdge) {
+	for _, p := range col.Rendezvous(parent == nil, rd.cfg().RendezvousThreshold, rd.global.Lmin) {
 		rd.emitPair(n, p)
 	}
 	left := col.Lists()
@@ -1056,7 +1017,7 @@ func (rd *round) finishVSA(n *ktree.Node, isRoot bool, col *lbnode.VSACollect, p
 		rd.reliableEv(MsgVSAUp, parent.chi, parent.nd.ni, parent.edge, &parent.up)
 		return
 	}
-	cb(left)
+	rd.vsaSwept(left)
 }
 
 type vsaDown struct{ e *vsaEdge }
@@ -1064,7 +1025,7 @@ type vsaDown struct{ e *vsaEdge }
 //lbvet:hotpath
 func (d *vsaDown) HandleMsg() bool {
 	e := d.e
-	e.nd.rd.startVSANode(e.c, false, e, nil)
+	e.nd.rd.startVSANode(e.c, e)
 	return true
 }
 
@@ -1078,7 +1039,7 @@ func (u *vsaUp) HandleMsg() bool {
 	nd := e.nd
 	if nd.col.ChildReply(e.sub) {
 		nd.rd.r.eng.Cancel(nd.expire)
-		nd.rd.finishVSA(nd.n, nd.isRoot, &nd.col, nd.parent, nd.rootCb)
+		nd.rd.finishVSA(nd.n, &nd.col, nd.parent)
 	}
 	return true
 }
@@ -1091,7 +1052,7 @@ func (x *vsaExpire) RunEvent() {
 	nd := x.nd
 	if timedOut, expired := nd.col.Expire(); expired {
 		nd.rd.res.TimedOutChildren += timedOut
-		nd.rd.finishVSA(nd.n, nd.isRoot, &nd.col, nd.parent, nd.rootCb)
+		nd.rd.finishVSA(nd.n, &nd.col, nd.parent)
 	}
 }
 
@@ -1100,13 +1061,6 @@ func (x *vsaExpire) RunEvent() {
 // transfer); the light endpoint's copy is informational — the prepare
 // phase re-validates the receiver — so it rides an unreliable send.
 func (rd *round) emitPair(rendezvous *ktree.Node, p core.Pair) {
-	if rd.deferPairs != nil {
-		// Parallel worker: pairing side effects (handoffs mutate the
-		// shared ring) are recorded with their virtual emission time
-		// and replayed on the root engine at the join.
-		*rd.deferPairs = append(*rd.deferPairs, timedPair{at: rd.r.eng.Now(), n: rendezvous, p: p})
-		return
-	}
 	eng := rd.r.eng
 	host := rendezvous.Host.Owner
 	costFrom := rd.r.ring.Latency(host, p.From) + 1

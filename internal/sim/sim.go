@@ -35,7 +35,6 @@ type Time int64
 // i.e. equal timestamps fire in scheduling order.
 type Engine struct {
 	q        eventQueue
-	seed     int64
 	rng      *rand.Rand
 	msgStats map[string]*msgStat
 	executed uint64
@@ -81,17 +80,10 @@ type MessageFilter interface {
 // NewEngine returns an engine at time 0 with a deterministic RNG.
 func NewEngine(seed int64) *Engine {
 	return &Engine{
-		seed:     seed,
 		rng:      rand.New(rand.NewSource(seed)),
 		msgStats: make(map[string]*msgStat),
 	}
 }
-
-// Seed returns the seed this engine was constructed with. Fan-out
-// layers derive per-worker engine seeds from it without consuming the
-// engine's own RNG stream (a draw would perturb every later draw and
-// break equivalence with a sequential run).
-func (e *Engine) Seed() int64 { return e.seed }
 
 // Now returns the current virtual time.
 func (e *Engine) Now() Time { return e.q.now }
