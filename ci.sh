@@ -59,6 +59,14 @@ go build ./...
 echo "== go test"
 go test ./...
 
+echo "== perfbench module (vet + test)"
+# perfbench is a nested module (its own go.mod, replacing p2plb with
+# this tree), so the root `go build ./...` and `go test ./...` above
+# skip it — yet it compiles against the internal APIs (livenet,
+# protocol, cluster, ...). Vetting and testing it here catches an API
+# change that would only break the benchmark.
+(cd perfbench && go vet ./... && go test ./...)
+
 echo "== go test -race (concurrent packages)"
 go test -race ./internal/livenet/ ./internal/par/ ./internal/sim/ ./internal/ktree/ ./internal/faults/ ./internal/lbnode/ ./internal/protocol/ ./internal/wire/ ./internal/cluster/
 

@@ -74,16 +74,25 @@ type ChaosReport struct {
 }
 
 // ReserveAddrs grabs n distinct localhost addresses by binding and
-// releasing ephemeral ports.
+// releasing ephemeral ports. Every port stays bound until all n are
+// chosen: a port released at once can come straight back from the
+// next bind, and two daemons handed the same address cannot both
+// listen.
 func ReserveAddrs(n int) ([]string, error) {
 	addrs := make([]string, n)
+	lns := make([]net.Listener, 0, n)
+	defer func() {
+		for _, ln := range lns {
+			ln.Close()
+		}
+	}()
 	for i := range addrs {
 		ln, err := net.Listen("tcp", "127.0.0.1:0")
 		if err != nil {
 			return nil, err
 		}
+		lns = append(lns, ln)
 		addrs[i] = ln.Addr().String()
-		ln.Close()
 	}
 	return addrs, nil
 }

@@ -95,22 +95,49 @@ type roundBody struct {
 	Round uint64 `json:"round"`
 }
 
+// A round runs two converge-cast sweeps up the rank tree, each one
+// lbnode.Epoch per daemon: LBI aggregation, then — once the global
+// tuple is down — the VSA sweep.
+const (
+	lbiSweep = iota
+	vsaSweep
+)
+
 // roundState is one balancing round's soft state at this daemon. It is
 // rebuilt from scratch (and re-fed by retransmissions and re-issued
 // triggers) after a restart — only the transfer escrows are durable.
+// Both epochs open when the round starts, so a child's VSA reply that
+// outruns the global tuple (this daemon restarted mid-round) is simply
+// buffered under its child index until the own list exists.
 type roundState struct {
 	r          uint64
-	lbi        *lbnode.LBICollect
-	lbiSeen    map[int]bool
-	lbiUp      bool
+	local      core.LBI // this daemon's own LBI report
+	lbi        lbnode.Epoch[core.LBI]
 	global     core.LBI
 	haveGlobal bool
-	vsa        *lbnode.VSACollect
-	vsaSeen    map[int]bool
-	vsaBuf     []vsaBody // child replies arriving before the global LBI
-	vsaUp      bool
-	lbiTimer   *time.Timer
-	vsaTimer   *time.Timer
+	inbox      *core.PairList // own VSA advertisements, set with the global tuple
+	vsa        lbnode.Epoch[*core.PairList]
+	left       *core.PairList // the unpaired rest after rendezvous; nil until the VSA epoch closed
+	timers     [2]*time.Timer // per-sweep epoch timers
+}
+
+// epoch returns sweep s's machine.
+func (rs *roundState) epoch(s int) interface {
+	Expire() (int, bool)
+	Done() bool
+} {
+	if s == lbiSweep {
+		return &rs.lbi
+	}
+	return &rs.vsa
+}
+
+func (rs *roundState) stopTimers() {
+	for _, t := range rs.timers {
+		if t != nil {
+			t.Stop()
+		}
+	}
 }
 
 // handoffState wraps the lbnode two-phase machine with the executor's
@@ -282,12 +309,7 @@ func (d *Daemon) Close() {
 	}
 	d.closed = true
 	for _, rs := range d.rounds {
-		if rs.lbiTimer != nil {
-			rs.lbiTimer.Stop()
-		}
-		if rs.vsaTimer != nil {
-			rs.vsaTimer.Stop()
-		}
+		rs.stopTimers()
 	}
 	d.mu.Unlock()
 	if d.httpSrv != nil {
@@ -400,7 +422,9 @@ func (d *Daemon) handle(m wire.Msg) {
 	case "lbi":
 		var b lbiBody
 		if json.Unmarshal(m.Body, &b) == nil {
-			d.onLBI(m.Round, b)
+			if rs, idx := d.replyTo(m.Round, b.Child); idx >= 0 && rs.lbi.ChildReply(idx, decodeLBI(b)) {
+				d.closeEpoch(rs, lbiSweep)
+			}
 		}
 	case "global":
 		var b lbiBody
@@ -410,7 +434,9 @@ func (d *Daemon) handle(m wire.Msg) {
 	case "vsa":
 		var b vsaBody
 		if json.Unmarshal(m.Body, &b) == nil {
-			d.onVSA(m.Round, b)
+			if rs, idx := d.replyTo(m.Round, b.Child); idx >= 0 && rs.vsa.ChildReply(idx, decodeLists(b)) {
+				d.closeEpoch(rs, vsaSweep)
+			}
 		}
 	case "assign":
 		var b assignBody
@@ -468,31 +494,21 @@ func (d *Daemon) startRound(r uint64) {
 	// absorbed (and acked) without effect.
 	for old, rs := range d.rounds {
 		if old+2 <= r {
-			if rs.lbiTimer != nil {
-				rs.lbiTimer.Stop()
-			}
-			if rs.vsaTimer != nil {
-				rs.vsaTimer.Stop()
-			}
+			rs.stopTimers()
 			delete(d.rounds, old)
 		}
 	}
-	local := core.NodeLBI(d.standaloneNode())
 	rs := &roundState{
-		r:       r,
-		lbi:     lbnode.NewLBICollect([]core.LBI{local}, len(d.children)),
-		lbiSeen: make(map[int]bool),
-		vsaSeen: make(map[int]bool),
+		r:     r,
+		local: core.NodeLBI(d.standaloneNode()),
+		lbi:   lbnode.NewEpoch[core.LBI](len(d.children)),
+		vsa:   lbnode.NewEpoch[*core.PairList](len(d.children)),
 	}
 	d.rounds[r] = rs
 	for _, c := range d.children {
 		d.tr.Send(c, "start", r, nil, wire.SendOpts{})
 	}
-	if rs.lbi.Done() {
-		d.lbiComplete(rs)
-	} else {
-		rs.lbiTimer = time.AfterFunc(d.spec.EpochTimeout, func() { d.expireLBI(r) })
-	}
+	d.openEpoch(rs, lbiSweep)
 }
 
 func (d *Daemon) refeed(rs *roundState) {
@@ -504,15 +520,31 @@ func (d *Daemon) refeed(rs *roundState) {
 			d.tr.Send(c, "global", rs.r, encodeLBI(d.rank, rs.global), wire.SendOpts{})
 		}
 	}
-	if rs.lbiUp && d.parent >= 0 {
-		d.tr.Send(d.parent, "lbi", rs.r, encodeLBI(d.rank, rs.lbi.Aggregate()), wire.SendOpts{})
-	}
-	if rs.vsaUp && d.parent >= 0 {
-		d.sendVSAUp(rs)
+	if d.parent >= 0 {
+		if rs.lbi.Done() {
+			d.sendUp(rs, lbiSweep)
+		}
+		if rs.left != nil {
+			d.sendUp(rs, vsaSweep)
+		}
 	}
 }
 
-func (d *Daemon) expireLBI(r uint64) {
+// openEpoch acts on sweep s's epoch as soon as the daemon can: at once
+// when it already closed (every child replied, or there are none),
+// otherwise when the last reply lands or the epoch timer fires.
+func (d *Daemon) openEpoch(rs *roundState, s int) {
+	if rs.epoch(s).Done() {
+		d.closeEpoch(rs, s)
+		return
+	}
+	r := rs.r
+	rs.timers[s] = time.AfterFunc(d.spec.EpochTimeout, func() { d.expire(r, s) })
+}
+
+// expire fires sweep s's epoch timer: give up on the silent children
+// and close with what arrived.
+func (d *Daemon) expire(r uint64, s int) {
 	d.mu.Lock()
 	defer d.mu.Unlock()
 	if d.closed {
@@ -522,24 +554,15 @@ func (d *Daemon) expireLBI(r uint64) {
 	if !ok {
 		return
 	}
-	if _, expired := rs.lbi.Expire(); expired {
-		d.lbiComplete(rs)
+	if _, expired := rs.epoch(s).Expire(); expired {
+		d.closeEpoch(rs, s)
 	}
 }
 
-func (d *Daemon) onLBI(r uint64, b lbiBody) {
-	rs := d.ensureRound(r)
-	if rs == nil || rs.lbiSeen[b.Child] {
-		return
-	}
-	rs.lbiSeen[b.Child] = true
-	idx := d.childIndex(b.Child)
-	if idx < 0 {
-		return
-	}
-	if rs.lbi.ChildReply(idx, decodeLBI(b)) {
-		d.lbiComplete(rs)
-	}
+// replyTo returns the round a child's reply feeds and the child's
+// index, or index -1 for a sender that is not a child.
+func (d *Daemon) replyTo(r uint64, child int) (*roundState, int) {
+	return d.ensureRound(r), d.childIndex(child)
 }
 
 // ensureRound returns the round state, creating it (as startRound does)
@@ -563,22 +586,45 @@ func (d *Daemon) childIndex(rank int) int {
 	return -1
 }
 
-func (d *Daemon) lbiComplete(rs *roundState) {
-	if rs.lbiTimer != nil {
-		rs.lbiTimer.Stop()
+// closeEpoch acts on sweep s's closed epoch. The LBI aggregate goes up,
+// or at the root becomes the global tuple. The VSA lists wait for the
+// global tuple (onGlobal reopens the sweep), then pair at this
+// rendezvous point, and the unpaired rest goes up.
+func (d *Daemon) closeEpoch(rs *roundState, s int) {
+	if s == vsaSweep && !rs.haveGlobal {
+		return
 	}
-	rs.lbiUp = true
-	agg := rs.lbi.Aggregate()
-	if d.rank == 0 {
-		d.onGlobal(rs.r, encodeLBI(0, agg))
-	} else {
-		d.tr.Send(d.parent, "lbi", rs.r, encodeLBI(d.rank, agg), wire.SendOpts{})
+	if t := rs.timers[s]; t != nil {
+		t.Stop()
+	}
+	if s == lbiSweep && d.rank == 0 {
+		d.onGlobal(rs.r, encodeLBI(0, lbnode.Fold(&rs.lbi, rs.local, core.LBI.Merge)))
+		return
+	}
+	if s == vsaSweep {
+		rs.left = lbnode.Fold(&rs.vsa, rs.inbox, (*core.PairList).Merge)
+		for _, p := range lbnode.Rendezvous(rs.left, d.rank == 0, d.spec.Threshold, rs.global.Lmin) {
+			b := assignBody{
+				Pair: pairID(rs.r, p.VS.ID, p.From.Index, p.To.Index),
+				ID:   p.VS.ID,
+				Load: p.Load,
+				From: p.From.Index,
+				To:   p.To.Index,
+			}
+			d.tr.Send(p.From.Index, "assign", rs.r, b, wire.SendOpts{})
+		}
+		if rs.r > d.done {
+			d.done = rs.r
+		}
+	}
+	if d.rank != 0 {
+		d.sendUp(rs, s)
 	}
 }
 
 func (d *Daemon) onGlobal(r uint64, b lbiBody) {
 	rs := d.ensureRound(r)
-	if rs == nil || rs.haveGlobal {
+	if rs.haveGlobal {
 		return
 	}
 	rs.global = decodeLBI(b)
@@ -586,59 +632,15 @@ func (d *Daemon) onGlobal(r uint64, b lbiBody) {
 	for _, c := range d.children {
 		d.tr.Send(c, "global", r, encodeLBI(d.rank, rs.global), wire.SendOpts{})
 	}
-	d.startVSA(rs)
-}
-
-func (d *Daemon) startVSA(rs *roundState) {
 	st := lbnode.Classify(d.standaloneNode(), rs.global, d.spec.Epsilon, core.SubsetAuto)
-	pl := &core.PairList{}
+	rs.inbox = &core.PairList{}
 	if st != nil {
-		lbnode.DepositVSA(pl, st, 0)
+		lbnode.DepositVSA(rs.inbox, st, 0)
 	}
-	rs.vsa = lbnode.NewVSACollect(pl, len(d.children))
-	buf := rs.vsaBuf
-	rs.vsaBuf = nil
-	for _, b := range buf {
-		d.feedVSA(rs, b)
-	}
-	if rs.vsa.Done() {
-		d.vsaComplete(rs)
-	} else {
-		rs.vsaTimer = time.AfterFunc(d.spec.EpochTimeout, func() { d.expireVSA(rs.r) })
-	}
+	d.openEpoch(rs, vsaSweep)
 }
 
-func (d *Daemon) expireVSA(r uint64) {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	if d.closed {
-		return
-	}
-	rs, ok := d.rounds[r]
-	if !ok || rs.vsa == nil {
-		return
-	}
-	if _, expired := rs.vsa.Expire(); expired {
-		d.vsaComplete(rs)
-	}
-}
-
-func (d *Daemon) onVSA(r uint64, b vsaBody) {
-	rs := d.ensureRound(r)
-	if rs == nil || rs.vsaSeen[b.Child] {
-		return
-	}
-	rs.vsaSeen[b.Child] = true
-	if rs.vsa == nil {
-		// The global tuple has not reached this daemon yet (fresh
-		// restart); buffer until dissemination catches up.
-		rs.vsaBuf = append(rs.vsaBuf, b)
-		return
-	}
-	d.feedVSA(rs, b)
-}
-
-func (d *Daemon) feedVSA(rs *roundState, b vsaBody) {
+func decodeLists(b vsaBody) *core.PairList {
 	sub := &core.PairList{}
 	for _, l := range b.Lights {
 		sub.AddLight(l.Deficit, &chord.Node{Index: l.Rank, Alive: true}, l.Group)
@@ -648,41 +650,20 @@ func (d *Daemon) feedVSA(rs *roundState, b vsaBody) {
 		vs := &chord.VServer{ID: o.ID, Owner: owner, Load: o.Load}
 		sub.AddOffer(vs, owner, o.Group)
 	}
-	if rs.vsa.ChildReply(sub) {
-		d.vsaComplete(rs)
-	}
+	return sub
 }
 
 func pairID(r uint64, id ident.ID, from, to int) string {
 	return fmt.Sprintf("r%d-%s-%d>%d", r, id, from, to)
 }
 
-func (d *Daemon) vsaComplete(rs *roundState) {
-	if rs.vsaTimer != nil {
-		rs.vsaTimer.Stop()
+// sendUp reports this daemon's closed epoch of sweep s to its parent.
+func (d *Daemon) sendUp(rs *roundState, s int) {
+	if s == lbiSweep {
+		d.tr.Send(d.parent, "lbi", rs.r, encodeLBI(d.rank, lbnode.Fold(&rs.lbi, rs.local, core.LBI.Merge)), wire.SendOpts{})
+		return
 	}
-	pairs := rs.vsa.Rendezvous(d.rank == 0, d.spec.Threshold, rs.global.Lmin)
-	for _, p := range pairs {
-		b := assignBody{
-			Pair: pairID(rs.r, p.VS.ID, p.From.Index, p.To.Index),
-			ID:   p.VS.ID,
-			Load: p.Load,
-			From: p.From.Index,
-			To:   p.To.Index,
-		}
-		d.tr.Send(p.From.Index, "assign", rs.r, b, wire.SendOpts{})
-	}
-	rs.vsaUp = true
-	if d.rank != 0 {
-		d.sendVSAUp(rs)
-	}
-	if rs.r > d.done {
-		d.done = rs.r
-	}
-}
-
-func (d *Daemon) sendVSAUp(rs *roundState) {
-	lights, offers := rs.vsa.Lists().Entries()
+	lights, offers := rs.left.Entries()
 	b := vsaBody{Child: d.rank}
 	for _, l := range lights {
 		b.Lights = append(b.Lights, wireLight{Deficit: l.Deficit, Rank: l.Node.Index, Group: l.Group})

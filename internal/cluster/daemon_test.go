@@ -449,6 +449,63 @@ func TestRoundSurvivesInteriorRestart(t *testing.T) {
 	}
 }
 
+// TestVSAReplyBeforeGlobalCountsOnce: a child's VSA reply can outrun
+// the global tuple (its parent restarted mid-round) and, being
+// retransmitted, can arrive more than once — before and after the
+// tuple. The epoch buffers it under the child's index until the
+// parent's own list exists, and every further copy is absorbed.
+func TestVSAReplyBeforeGlobalCountsOnce(t *testing.T) {
+	spec := testSpec(t, 3, 41) // rank 0 with children 1 and 2, neither running
+	spec.EpochTimeout = time.Minute
+	d := startDaemon(t, spec, 0, t.TempDir(), nil)
+	defer d.Close()
+
+	deliver := func(seq uint64, src int, kind string, body any) {
+		raw, err := json.Marshal(body)
+		if err != nil {
+			t.Fatal(err)
+		}
+		d.handle(wire.Msg{Seq: seq, Src: src, Kind: kind, Round: 1, Body: raw})
+	}
+	// Offers too heavy for any light node stay unpaired at the root, so
+	// the root's leftover list shows exactly how often each was counted.
+	vsa := func(child int, id ident.ID) vsaBody {
+		return vsaBody{Child: child, Offers: []wireOffer{{ID: id, Load: 1e9, Rank: child}}}
+	}
+	lbi := lbiBody{L: 1, C: 10, Lmin: 1}
+
+	deliver(1, 1, "start", nil)
+	deliver(2, 1, "vsa", vsa(1, 101))
+	deliver(3, 1, "vsa", vsa(1, 101)) // a retransmitted copy, still before the tuple
+	lbi.Child = 1
+	deliver(4, 1, "lbi", lbi)
+	lbi.Child = 2
+	deliver(5, 2, "lbi", lbi) // closes the LBI epoch: the root disseminates the tuple
+	d.mu.Lock()
+	rs := d.rounds[1]
+	if !rs.haveGlobal || rs.left != nil {
+		d.mu.Unlock()
+		t.Fatalf("after both LBI replies: haveGlobal=%v, VSA closed=%v; want the tuple and a VSA epoch still waiting for child 2", rs.haveGlobal, rs.left != nil)
+	}
+	d.mu.Unlock()
+	deliver(6, 1, "vsa", vsa(1, 101)) // and one after the tuple
+	deliver(7, 2, "vsa", vsa(2, 202))
+
+	d.mu.Lock()
+	defer d.mu.Unlock()
+	if rs.left == nil {
+		t.Fatal("VSA epoch did not close after both children replied")
+	}
+	count := map[ident.ID]int{}
+	_, offers := rs.left.Entries()
+	for _, o := range offers {
+		count[o.VS.ID]++
+	}
+	if count[101] != 1 || count[202] != 1 {
+		t.Fatalf("unpaired offers at the root = %v, want child 1's and child 2's exactly once each", count)
+	}
+}
+
 func TestSpecTreeShape(t *testing.T) {
 	s := &Spec{Procs: 8, K: 2}
 	if p := s.Parent(0); p != -1 {

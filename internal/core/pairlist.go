@@ -48,8 +48,12 @@ func (p *PairList) AddOffer(vs *chord.VServer, node *chord.Node, group uint64) {
 	p.lists.offers = append(p.lists.offers, offerEntry{load: vs.Load, vs: vs, node: node, group: group})
 }
 
-// Merge absorbs o's entries; o must not be used afterwards.
-func (p *PairList) Merge(o *PairList) { p.lists.merge(o.lists) }
+// Merge absorbs o's entries and returns p, so it serves directly as a
+// converge-cast fold step; o must not be used afterwards.
+func (p *PairList) Merge(o *PairList) *PairList {
+	p.lists.merge(o.lists)
+	return p
+}
 
 // Size returns the combined length of the two lists (the rendezvous
 // threshold quantity).

@@ -5,6 +5,7 @@ import (
 
 	"p2plb/internal/chord"
 	"p2plb/internal/ktree"
+	"p2plb/internal/livenet"
 	"p2plb/internal/protocol"
 	"p2plb/internal/sim"
 )
@@ -54,9 +55,9 @@ func PeriodicRounds(ring *chord.Ring, tree *ktree.Tree, cfg protocol.Config, int
 			rec.Err = err
 			return
 		}
-		rec.GiniBefore = aliveUnitGini(ring)
+		rec.GiniBefore = livenet.UnitLoadGini(ring)
 		if err := runner.StartRound(func(res *protocol.Result, err error) {
-			rec.Result, rec.Err, rec.GiniAfter = res, err, aliveUnitGini(ring)
+			rec.Result, rec.Err, rec.GiniAfter = res, err, livenet.UnitLoadGini(ring)
 		}); err != nil {
 			rec.Err = err
 		}

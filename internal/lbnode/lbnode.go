@@ -5,17 +5,19 @@
 //
 // One round of the scheme decomposes into per-node machines:
 //
-//   - LBICollect — the LBI converge-cast epoch at one KT node: deposit
-//     the local reports, merge each child subtree's reply as it arrives,
-//     and close (complete or expired) exactly once (§3.2).
+//   - Epoch — the converge-cast epoch at one KT node, shared by both
+//     bottom-up sweeps: buffer each child subtree's reply under its
+//     child index, close (complete or expired) exactly once, then Fold
+//     the node's own contribution with the replies in child-index order.
+//     LBI aggregation (§3.2) folds core.LBI tuples seeded by LocalLBI;
+//     the VSA sweep (§3.4) folds *core.PairList advertisement lists and
+//     then pairs at rendezvous points via Rendezvous (threshold reached,
+//     or the root), handing the unpaired rest upward.
 //   - Roster — the dissemination endpoint: classify each physical node
 //     against the global tuple the first time a copy reaches it,
 //     duplicates are idempotent (§3.3).
 //   - DepositVSA — a classified node's advertisement: a light node's
 //     deficit entry or a heavy node's shed-VS offers (§3.4).
-//   - VSACollect — the VSA converge-cast epoch: merge children's
-//     unpaired lists, then pair at rendezvous points via Rendezvous
-//     (threshold reached, or the root) and hand leftovers upward (§3.4).
 //   - Handoff — the two-phase virtual-server transfer for one pairing:
 //     assign → prepare/reserve → commit, with abort on invalid or
 //     failed endpoints; the commit applies exactly once (§3.4 VST).
@@ -23,8 +25,9 @@
 // Executors own everything else: internal/protocol drives these
 // machines through sim.Engine events (acks, retries, epoch timers,
 // fault injection are transport concerns), internal/livenet drives the
-// same machines over channels with one goroutine per subtree, and
-// core.Balancer remains the closed-form sequential reference. Because
+// same machines over channels with one goroutine per subtree,
+// internal/cluster runs them inside daemons over TCP, and core.Balancer
+// remains the closed-form sequential reference. Because
 // the machines are pure and single-threaded per node, an executor may
 // call them from any scheduling discipline; the lbvet layercheck
 // analyzer enforces that this package never imports sim, faults or par
@@ -92,55 +95,50 @@ func (ro *Roster) Classify(node *chord.Node, global core.LBI, epsilon float64, s
 
 // Census tallies the classes of every node classified so far.
 func (ro *Roster) Census() (heavy, light, neutral int) {
+	var c census
 	for _, st := range ro.states {
-		switch st.Class {
-		case core.Heavy:
-			heavy++
-		case core.Light:
-			light++
-		default:
-			neutral++
-		}
+		c.add(st.Class)
 	}
-	return heavy, light, neutral
+	return c.heavy, c.light, c.neutral
 }
 
 // Tally counts classes over a slice of node states (nil entries are
 // skipped) — the before-census of an executor that classified into a
 // slice rather than through a Roster.
 func Tally(states []*core.NodeState) (heavy, light, neutral int) {
+	var c census
 	for _, st := range states {
-		if st == nil {
-			continue
-		}
-		switch st.Class {
-		case core.Heavy:
-			heavy++
-		case core.Light:
-			light++
-		default:
-			neutral++
+		if st != nil {
+			c.add(st.Class)
 		}
 	}
-	return heavy, light, neutral
+	return c.heavy, c.light, c.neutral
 }
 
 // Census classifies every alive node afresh against the global tuple
 // and tallies the classes — the end-of-round census both executors
 // report after transfers have been applied.
 func Census(nodes []*chord.Node, global core.LBI, epsilon float64, strategy core.SubsetStrategy) (heavy, light, neutral int) {
+	var c census
 	for _, n := range nodes {
-		if !n.Alive {
-			continue
-		}
-		switch Classify(n, global, epsilon, strategy).Class {
-		case core.Heavy:
-			heavy++
-		case core.Light:
-			light++
-		default:
-			neutral++
+		if n.Alive {
+			c.add(Classify(n, global, epsilon, strategy).Class)
 		}
 	}
-	return heavy, light, neutral
+	return c.heavy, c.light, c.neutral
+}
+
+// census is the running heavy/light/neutral count behind the three
+// tallies above.
+type census struct{ heavy, light, neutral int }
+
+func (c *census) add(class core.Class) {
+	switch class {
+	case core.Heavy:
+		c.heavy++
+	case core.Light:
+		c.light++
+	default:
+		c.neutral++
+	}
 }

@@ -1,7 +1,7 @@
 // Package livenet is the concurrent executor of the load-balancing
 // protocol: it drives the same per-KT-node state machines as the
-// deterministic-sim executor (internal/protocol) — lbnode.LBICollect,
-// lbnode.VSACollect, lbnode.Classify, lbnode.DepositVSA — but over real
+// deterministic-sim executor (internal/protocol) — lbnode.Epoch for
+// both sweeps, lbnode.Classify, lbnode.DepositVSA — but over real
 // goroutines and channels instead of simulated message events: one
 // goroutine per KT subtree in the top levels, channels as the
 // parent-child links. There is no algorithm copy here; the sweeps are a
@@ -80,17 +80,17 @@ func reduce[T any](root *ktree.Node, eval func(n *ktree.Node, children []T) T) T
 }
 
 // AggregateLBI performs the bottom-up LBI converge-cast concurrently,
-// one lbnode.LBICollect epoch per KT node: local reports seed the
-// epoch, children's subtree aggregates fold through the machine in
-// child-index order (the machine buffers them, so the sim executor's
-// arrival-order replies fold identically).
+// one lbnode.Epoch per KT node: local reports seed the fold, children's
+// subtree aggregates fold through the machine in child-index order (the
+// machine buffers them, so the sim executor's arrival-order replies
+// fold identically).
 func AggregateLBI(tree *ktree.Tree, inbox map[*ktree.Node][]core.LBI) core.LBI {
 	return reduce(tree.Root(), func(n *ktree.Node, children []core.LBI) core.LBI {
-		col := lbnode.NewLBICollect(inbox[n], len(children))
+		col := lbnode.NewEpoch[core.LBI](len(children))
 		for i, sub := range children {
 			col.ChildReply(i, sub)
 		}
-		return col.Aggregate()
+		return lbnode.Fold(&col, lbnode.LocalLBI(inbox[n]), core.LBI.Merge)
 	})
 }
 
@@ -111,20 +111,25 @@ func (s *pairSink) add(ps []core.Pair) {
 }
 
 // SweepVSA performs the bottom-up VSA sweep concurrently, one
-// lbnode.VSACollect epoch per KT node: children's unpaired lists merge
-// through the machine, rendezvous points (threshold reached, or the
-// root) pair and emit, and leftovers flow upward. It returns all
-// pairings and the list left unpaired at the root. The inbox PairLists
-// are consumed.
+// lbnode.Epoch per KT node: children's unpaired lists fold into the
+// node's inbox through the machine, rendezvous points (threshold
+// reached, or the root) pair and emit, and leftovers flow upward. It
+// returns all pairings and the list left unpaired at the root. The
+// inbox PairLists are consumed.
 func SweepVSA(tree *ktree.Tree, inbox map[*ktree.Node]*core.PairList, lmin float64, threshold int) ([]core.Pair, *core.PairList) {
 	sink := &pairSink{}
 	left := reduce(tree.Root(), func(n *ktree.Node, children []*core.PairList) *core.PairList {
-		col := lbnode.NewVSACollect(inbox[n], len(children))
-		for _, sub := range children {
-			col.ChildReply(sub)
+		col := lbnode.NewEpoch[*core.PairList](len(children))
+		for i, sub := range children {
+			col.ChildReply(i, sub)
 		}
-		sink.add(col.Rendezvous(n.Parent == nil, threshold, lmin))
-		return col.Lists()
+		own := inbox[n]
+		if own == nil {
+			own = &core.PairList{}
+		}
+		lists := lbnode.Fold(&col, own, (*core.PairList).Merge)
+		sink.add(lbnode.Rendezvous(lists, n.Parent == nil, threshold, lmin))
+		return lists
 	})
 	// By the time reduce returns, every worker that called sink.add has
 	// been joined through the per-node channels, so the sink is
@@ -222,12 +227,13 @@ func RunRound(ring *chord.Ring, tree *ktree.Tree, cfg core.Config) (*Result, err
 	return res, nil
 }
 
-// UnitLoadGini is a convenience: the Gini coefficient of per-node unit
-// load, computed in parallel-friendly one pass.
+// UnitLoadGini is the imbalance metric every executor and experiment
+// reports: the Gini coefficient of per-node unit load over the living
+// membership. Nodes without capacity have no unit load and are skipped.
 func UnitLoadGini(ring *chord.Ring) float64 {
 	var units []float64
-	for _, n := range ring.Nodes() {
-		if n.Alive {
+	for _, n := range ring.AliveNodes() {
+		if n.Capacity > 0 {
 			units = append(units, n.TotalLoad()/n.Capacity)
 		}
 	}

@@ -2,19 +2,21 @@
 // messages on the discrete-event engine — the fully distributed
 // counterpart of core.Balancer's closed-form round.
 //
-// The per-node protocol logic itself — LBI epoch merging, the
+// The per-node protocol logic itself — the converge-cast epoch, the
 // classification roster, VSA rendezvous pairing, the two-phase VST
 // handoff — lives in internal/lbnode as pure state machines shared with
 // the concurrent executor (internal/livenet). This package is the
 // deterministic-sim driver for those machines: it owns everything the
 // machines deliberately do not — delivery through sim.Engine (so a
 // fault plan can interfere), per-child epoch timers, sequence-numbered
-// acks with retransmission, and the per-round scratch recycling. LBI
-// collection is a pull converge-cast with per-child timeouts, the
-// global tuple is disseminated hop by hop, proximity-aware
-// advertisements are published through routed Chord lookups, the VSA
-// converge-cast carries the actual lists, rendezvous points emit pair
-// notifications as messages, and transfers occupy simulated time.
+// acks with retransmission, and the per-round scratch recycling. Both
+// bottom-up sweeps run on one pull converge-cast walk with per-child
+// timeouts, one lbnode.Epoch per KT node: LBI aggregation carries
+// <L, C, Lmin> tuples, the VSA sweep carries the actual lists and its
+// rendezvous points emit pair notifications as messages. Between them
+// the global tuple is disseminated hop by hop and proximity-aware
+// advertisements are published through routed Chord lookups; transfers
+// occupy simulated time.
 // Because every step is an event, nodes may crash *during* a round:
 // dead subtrees simply stop replying, parents proceed after a timeout
 // with partial data, and the next round (after tree repair) picks up
@@ -87,24 +89,20 @@ type Config struct {
 	// the §4.3 claim that the scheme adapts to other DHTs. It changes
 	// only lookup paths, never outcomes.
 	PrefixRouting bool
-	// MaxRetries bounds how often a reliable message (converge-cast
-	// replies, dissemination, pairing notifications, the two-phase
-	// handoff) is retransmitted when its ack does not arrive. The
-	// retransmission timer starts at one round trip plus slack and
-	// doubles per attempt (exponential backoff). 0 means the default of
-	// 5; lossless runs never retransmit, so the knob only matters under
-	// a fault plan.
-	MaxRetries int
 }
 
 // defaultChildTimeout is the per-level slack used when Config leaves
 // ChildTimeout zero.
 const defaultChildTimeout = 5000
 
-// defaultMaxRetries is the retransmission bound used when Config leaves
-// MaxRetries zero. Five doublings from one round trip tolerate ~30%
-// loss with high probability without stretching timed-out epochs.
-const defaultMaxRetries = 5
+// maxRetries bounds how often a reliable message (converge-cast
+// replies, dissemination, pairing notifications, the two-phase handoff)
+// is retransmitted when its ack does not arrive. The retransmission
+// timer starts at one round trip plus slack and doubles per attempt
+// (exponential backoff). Five doublings from one round trip tolerate
+// ~30% loss with high probability without stretching timed-out epochs;
+// lossless runs never retransmit.
+const maxRetries = 5
 
 // Runner executes rounds over a ring and its tree.
 type Runner struct {
@@ -170,9 +168,6 @@ func NewRunner(ring *chord.Ring, tree *ktree.Tree, cfg Config) (*Runner, error) 
 	if cfg.ChildTimeout < 0 {
 		return nil, fmt.Errorf("protocol: negative child timeout")
 	}
-	if cfg.MaxRetries < 0 {
-		return nil, fmt.Errorf("protocol: negative retry bound")
-	}
 	return &Runner{ring: ring, tree: tree, cfg: cfg, eng: ring.Engine()}, nil
 }
 
@@ -216,10 +211,9 @@ type round struct {
 	// delivered copy. It starts fresh every round (never recycled through
 	// roundScratch); late retransmits from a previous round are fenced by
 	// their own round's finished flag, not by this set.
-	nextSeq    uint64
-	seen       seqSet
-	maxRetries int
-	exFree     []*exchange // settled exchanges recycled by reliable()
+	nextSeq uint64
+	seen    seqSet
+	exFree  []*exchange // settled exchanges recycled by reliable()
 
 	deadline sim.Timer // round-failure backstop, canceled on completion
 
@@ -227,15 +221,13 @@ type round struct {
 	vsaDone              bool
 	finished             bool
 
-	// Chunked slabs for the tree-walk objects (lbiNode, lbiEdge, …):
-	// the walks allocate one object per live tree node/edge per phase,
-	// and a slab turns those into one heap allocation per slabChunk
-	// objects. The backing arrays die with the round.
-	lbiNodes  []lbiNode
-	lbiEdges  []lbiEdge
-	vsaNodes  []vsaNode
-	vsaEdges  []vsaEdge
-	dispEdges []dispEdge
+	// Chunked slabs for the tree-walk objects (epochNode, epochEdge,
+	// dispEdge): the walks allocate one object per live tree node/edge
+	// per phase, and a slab turns those into one heap allocation per
+	// slabChunk objects. The backing arrays die with the round.
+	epochNodes []epochNode
+	epochEdges []epochEdge
+	dispEdges  []dispEdge
 
 	res    *Result
 	finish func(*Result, error)
@@ -308,20 +300,15 @@ func (r *Runner) StartRound(done func(*Result, error)) error {
 	if timeout == 0 {
 		timeout = defaultChildTimeout
 	}
-	retries := r.cfg.MaxRetries
-	if retries == 0 {
-		retries = defaultMaxRetries
-	}
 	sc := r.takeScratch()
 	rd := &round{
-		r:          r,
-		timeout:    timeout,
-		start:      r.eng.Now(),
-		lbiInbox:   sc.lbiInbox,
-		roster:     lbnode.NewRoster(sc.states),
-		vsaInbox:   sc.vsaInbox,
-		leafOfVS:   sc.leafOfVS,
-		maxRetries: retries,
+		r:        r,
+		timeout:  timeout,
+		start:    r.eng.Now(),
+		lbiInbox: sc.lbiInbox,
+		roster:   lbnode.NewRoster(sc.states),
+		vsaInbox: sc.vsaInbox,
+		leafOfVS: sc.leafOfVS,
 		res: &Result{Result: core.Result{
 			Mode:        r.cfg.Core.Mode,
 			MovedByHops: &stats.WeightedHistogram{},
@@ -350,7 +337,7 @@ func (r *Runner) StartRound(done func(*Result, error)) error {
 	// executors deposit identical per-leaf inboxes (see lbnode.PlaceRound).
 	rd.place = lbnode.PlaceRound(r.ring, r.tree, r.eng.Rand(), sc.leafOfVS)
 	rd.place.DepositReports(rd.lbiInbox)
-	rd.startLBI(r.tree.Root(), nil)
+	rd.startEpoch(false, r.tree.Root(), nil) // the LBI sweep; publishDone starts the VSA one
 	return nil
 }
 
@@ -433,7 +420,7 @@ func hostIdx(n *ktree.Node) int { return n.Host.Owner.Index }
 //     settles the exchange.
 //   - the sender retransmits when no ack arrives within the timer —
 //     one round trip plus slack, doubling per attempt — up to the
-//     round's retry bound, then settles failed.
+//     maxRetries bound, then settles failed.
 //
 // SettleMsg(ok) runs exactly once per send (ok: an ack arrived; !ok:
 // retries exhausted). A settled failure does NOT imply the handler
@@ -464,7 +451,7 @@ func (rd *round) newExchange(kind string, src, dst int, cost sim.Time) *exchange
 		ex.kind, ex.ackKind = kind, ackKindOf(kind)
 		ex.src, ex.dst, ex.cost = src, dst, cost
 		ex.seq = rd.nextSeq
-		ex.attemptsLeft = rd.maxRetries + 1
+		ex.attemptsLeft = maxRetries + 1
 		ex.backoff = 2*cost + 2
 		ex.settled = false
 		ex.rto = sim.Timer{}
@@ -474,7 +461,7 @@ func (rd *round) newExchange(kind string, src, dst int, cost sim.Time) *exchange
 			rd: rd, kind: kind, ackKind: ackKindOf(kind),
 			src: src, dst: dst, cost: cost,
 			seq:          rd.nextSeq,
-			attemptsLeft: rd.maxRetries + 1,
+			attemptsLeft: maxRetries + 1,
 			backoff:      2*cost + 2,
 		}
 		// Wire the three embedded event adapters once per exchange
@@ -663,46 +650,58 @@ func (rd *round) leafFor(vs *chord.VServer) *ktree.Node {
 	return leaf
 }
 
-// lbiNode drives one internal node's LBI epoch: the collect machine,
-// the epoch timer, and the link to the parent edge the aggregate
-// reports through (nil at the root).
-type lbiNode struct {
+// mergeLBI and mergeList are the two sweeps' fold steps. The epoch
+// machine buffers the edge a reply arrived on (the reply itself already
+// lives there), so a buffered slot costs one pointer.
+func mergeLBI(acc core.LBI, e *epochEdge) core.LBI { return acc.Merge(e.lbi) }
+
+func mergeList(acc *core.PairList, e *epochEdge) *core.PairList { return acc.Merge(e.list) }
+
+// epochNode drives one internal node's epoch of either bottom-up sweep:
+// the lbnode.Epoch machine, the epoch timer, and the link to the parent
+// edge the result reports through (nil at the root).
+type epochNode struct {
 	rd       *round
 	n        *ktree.Node
 	ni       int
-	col      lbnode.LBICollect
-	parent   *lbiEdge
+	vsa      bool // the VSA sweep; otherwise LBI aggregation
+	col      lbnode.Epoch[*epochEdge]
+	parent   *epochEdge
 	expire   sim.Timer
-	expireEv lbiExpire
+	expireEv epochExpire
 }
 
-// lbiEdge is one parent→child link of the epoch: the target of the
-// downward pull, the buffer for the child subtree's aggregate, and the
-// two reliable-exchange handler roles (pull arriving at the child,
-// report arriving back at the parent) as embedded adapters.
-type lbiEdge struct {
-	nd   *lbiNode // parent's machine
+// epochEdge is one parent→child link of an epoch: the target of the
+// downward pull, the buffer for the child subtree's reply (its LBI
+// aggregate or its unpaired VSA list, by sweep), and the two
+// reliable-exchange handler roles (pull arriving at the child, reply
+// arriving back at the parent) as embedded adapters.
+type epochEdge struct {
+	nd   *epochNode // parent's machine
 	c    *ktree.Node
 	ci   int
 	chi  int
 	edge sim.Time
-	sub  core.LBI
-	down lbiDown
-	up   lbiUp
+	lbi  core.LBI
+	list *core.PairList
+	down epochDown
+	up   epochUp
 }
 
-// startLBI begins n's epoch of the LBI pull converge-cast, which
-// collects <L, C, Lmin> through one lbnode.LBICollect epoch per node:
-// leaves answer from their inbox; internal nodes query children, merge
-// replies through the machine, and give up on silent children after
-// the timeout. parent is the edge the subtree aggregate reports
-// through, nil at the root. A leaf (or a childless machine) completes
-// synchronously on the caller's stack — no walk objects; the rest of
-// the walk runs on slab-pooled lbiNode/lbiEdge objects, one per live
-// tree node and edge, so an epoch costs no per-message closures.
+// startEpoch begins n's epoch of a pull converge-cast: LBI aggregation,
+// which collects <L, C, Lmin> (§3.2), or the VSA sweep, which collects
+// the unpaired advertisement lists and pairs at rendezvous points
+// (§3.4). Leaves answer from their inbox; internal nodes query their
+// children, buffer the replies in one lbnode.Epoch per node, and give
+// up on silent children after the timeout. parent is the edge the
+// subtree's result reports through, nil at the root. A leaf (or a
+// childless machine) completes synchronously on the caller's stack — no
+// walk objects; the rest of the walk runs on slab-pooled
+// epochNode/epochEdge objects, one per live tree node and edge, so an
+// epoch costs no per-message closures.
 //
 //lbvet:hotpath
-func (rd *round) startLBI(n *ktree.Node, parent *lbiEdge) {
+func (rd *round) startEpoch(vsa bool, n *ktree.Node, parent *epochEdge) {
 	// One chase through Host.Owner serves the aliveness check and the
 	// endpoint index; the parent's edge already resolved ours.
 	owner := n.Host.Owner
@@ -713,86 +712,119 @@ func (rd *round) startLBI(n *ktree.Node, parent *lbiEdge) {
 	if parent != nil {
 		ni = parent.chi
 	}
-	col := lbnode.MakeLBICollect(rd.lbiInbox[n], len(n.Children))
+	col := lbnode.NewEpoch[*epochEdge](len(n.Children))
 	if col.Done() {
-		rd.lbiComplete(parent, col.Aggregate())
+		rd.closeEpoch(vsa, n, &col, parent)
 		return
 	}
-	nd := slabAlloc(&rd.lbiNodes)
-	nd.rd, nd.n, nd.ni, nd.col, nd.parent = rd, n, ni, col, parent
+	nd := slabAlloc(&rd.epochNodes)
+	nd.rd, nd.n, nd.ni, nd.vsa, nd.col, nd.parent = rd, n, ni, vsa, col, parent
 	nd.expireEv.nd = nd
+	kind := MsgCollectDown
+	if vsa {
+		kind = MsgVSADown
+	}
 	for ci, c := range n.Children {
-		e := slabAlloc(&rd.lbiEdges)
+		e := slabAlloc(&rd.epochEdges)
 		e.nd, e.c, e.ci, e.chi = nd, c, ci, hostIdx(c)
 		e.edge = rd.r.tree.EdgeLatency(c)
 		e.down.e, e.up.e = e, e
 		// Both directions are acked and retransmitted: a lost pull would
 		// silence the child's whole subtree, compounding per level, so
 		// the epoch timeout is reserved for genuinely dead subtrees.
-		// The reply merges exactly once (receiver dedup).
-		rd.reliableEv(MsgCollectDown, ni, e.chi, e.edge, &e.down)
+		// The reply is buffered exactly once (receiver dedup).
+		rd.reliableEv(kind, ni, e.chi, e.edge, &e.down)
 	}
 	// The epoch timer is canceled the moment the last child replies —
 	// on a healthy tree no epoch timer ever fires.
 	nd.expire = rd.r.eng.AfterEv(rd.epochWindow(n), &nd.expireEv)
 }
 
-// lbiComplete routes a finished subtree's aggregate: up the parent
-// edge, or into the round's continuation at the root.
-//
-//lbvet:hotpath
-func (rd *round) lbiComplete(parent *lbiEdge, agg core.LBI) {
-	if parent != nil {
-		parent.sub = agg
-		rd.reliableEv(MsgReportUp, parent.chi, parent.nd.ni, parent.edge, &parent.up)
-		return
+// ownList returns n's own VSA contribution, the list its epoch folds
+// into: the advertisement inbox, or an empty list when nothing was
+// deposited there. Advertisements land only at leaves, which close the
+// moment they start, so reading it when an epoch closes sees exactly
+// what was deposited before the sweep began.
+func (rd *round) ownList(n *ktree.Node) *core.PairList {
+	if pl := rd.vsaInbox[n]; pl != nil {
+		return pl
 	}
-	rd.lbiAggregated(agg)
+	return &core.PairList{}
 }
 
-type lbiDown struct{ e *lbiEdge }
+// closeEpoch folds n's closed epoch and routes the result: the LBI
+// aggregate goes up the parent edge, or at the root into
+// dissemination; the VSA list first pairs at a rendezvous point, then
+// its unpaired rest goes up the parent edge, or at the root ends the
+// sweep.
+//
+//lbvet:hotpath
+func (rd *round) closeEpoch(vsa bool, n *ktree.Node, col *lbnode.Epoch[*epochEdge], parent *epochEdge) {
+	kind := MsgReportUp
+	if vsa {
+		list := lbnode.Fold(col, rd.ownList(n), mergeList)
+		for _, p := range lbnode.Rendezvous(list, parent == nil, rd.cfg().RendezvousThreshold, rd.global.Lmin) {
+			rd.emitPair(n, p)
+		}
+		if parent == nil {
+			rd.vsaSwept(list)
+			return
+		}
+		parent.list, kind = list, MsgVSAUp
+	} else {
+		agg := lbnode.Fold(col, lbnode.LocalLBI(rd.lbiInbox[n]), mergeLBI)
+		if parent == nil {
+			rd.lbiAggregated(agg)
+			return
+		}
+		parent.lbi = agg
+	}
+	rd.reliableEv(kind, parent.chi, parent.nd.ni, parent.edge, &parent.up)
+}
+
+type epochDown struct{ e *epochEdge }
 
 // HandleMsg: the downward pull reached the child — start its epoch.
 //
 //lbvet:hotpath
-func (d *lbiDown) HandleMsg() bool {
+func (d *epochDown) HandleMsg() bool {
 	e := d.e
-	e.nd.rd.startLBI(e.c, e)
+	e.nd.rd.startEpoch(e.nd.vsa, e.c, e)
 	return true
 }
 
-func (d *lbiDown) SettleMsg(bool) {}
+func (d *epochDown) SettleMsg(bool) {}
 
-type lbiUp struct{ e *lbiEdge }
+type epochUp struct{ e *epochEdge }
 
-// HandleMsg: the child subtree's aggregate reached the parent. A reply
+// HandleMsg: the child subtree's reply reached the parent. A reply
 // after the epoch closed is absorbed by the machine — still acked so
 // the child stops resending. Replies are buffered under their child
-// index, so the fold order (and the global's float bits) is the same
-// no matter when each subtree answers.
+// index, so the fold order (and the LBI global's float bits) is the
+// same no matter when each subtree answers.
 //
 //lbvet:hotpath
-func (u *lbiUp) HandleMsg() bool {
+func (u *epochUp) HandleMsg() bool {
 	e := u.e
 	nd := e.nd
-	if nd.col.ChildReply(e.ci, e.sub) {
+	if nd.col.ChildReply(e.ci, e) {
 		nd.rd.r.eng.Cancel(nd.expire)
-		nd.rd.lbiComplete(nd.parent, nd.col.Aggregate())
+		nd.rd.closeEpoch(nd.vsa, nd.n, &nd.col, nd.parent)
 	}
 	return true
 }
 
-func (u *lbiUp) SettleMsg(bool) {}
+func (u *epochUp) SettleMsg(bool) {}
 
-// lbiExpire fires the epoch timeout: give up on the silent children
+// epochExpire fires the epoch timeout: give up on the silent children
 // and report what arrived.
-type lbiExpire struct{ nd *lbiNode }
+type epochExpire struct{ nd *epochNode }
 
-func (x *lbiExpire) RunEvent() {
+func (x *epochExpire) RunEvent() {
 	nd := x.nd
 	if timedOut, expired := nd.col.Expire(); expired {
 		nd.rd.res.TimedOutChildren += timedOut
-		nd.rd.lbiComplete(nd.parent, nd.col.Aggregate())
+		nd.rd.closeEpoch(nd.vsa, nd.n, &nd.col, nd.parent)
 	}
 }
 
@@ -931,7 +963,7 @@ func (rd *round) publishDone() {
 func (rd *round) startVSA() {
 	rd.res.HeavyBefore, rd.res.LightBefore, rd.res.NeutralBefore = rd.roster.Census()
 
-	rd.startVSANode(rd.r.tree.Root(), nil)
+	rd.startEpoch(true, rd.r.tree.Root(), nil)
 }
 
 // vsaSwept records what the root's VSA epoch left unpaired.
@@ -941,119 +973,6 @@ func (rd *round) vsaSwept(left *core.PairList) {
 	rd.res.UnassignedLoad = left.OfferLoad()
 	rd.vsaDone = true
 	rd.maybeFinish()
-}
-
-// vsaNode drives one internal node's VSA epoch — the mirror of lbiNode
-// with a pair list flowing up instead of an LBI tuple, and a
-// rendezvous step on completion.
-type vsaNode struct {
-	rd       *round
-	n        *ktree.Node
-	ni       int
-	col      lbnode.VSACollect
-	parent   *vsaEdge // nil at the root
-	expire   sim.Timer
-	expireEv vsaExpire
-}
-
-// vsaEdge is one parent→child link of the VSA epoch.
-type vsaEdge struct {
-	nd   *vsaNode
-	c    *ktree.Node
-	chi  int
-	edge sim.Time
-	sub  *core.PairList
-	down vsaDown
-	up   vsaUp
-}
-
-// startVSANode begins n's epoch of the bottom-up VSA sweep, one
-// lbnode.VSACollect epoch per node: children reply with their unpaired
-// lists; rendezvous points (threshold reached, or the root) pair and
-// notify, and everything unpaired flows upward. parent is nil at the
-// root. Leaves complete synchronously on the caller's stack.
-//
-//lbvet:hotpath
-func (rd *round) startVSANode(n *ktree.Node, parent *vsaEdge) {
-	owner := n.Host.Owner
-	if !owner.Alive {
-		return
-	}
-	ni := owner.Index
-	if parent != nil {
-		ni = parent.chi
-	}
-	col := lbnode.MakeVSACollect(rd.vsaInbox[n], len(n.Children))
-	if col.Done() {
-		rd.finishVSA(n, &col, parent)
-		return
-	}
-	nd := slabAlloc(&rd.vsaNodes)
-	nd.rd, nd.n, nd.ni, nd.col, nd.parent = rd, n, ni, col, parent
-	nd.expireEv.nd = nd
-	for _, c := range n.Children {
-		e := slabAlloc(&rd.vsaEdges)
-		e.nd, e.c, e.chi = nd, c, hostIdx(c)
-		e.edge = rd.r.tree.EdgeLatency(c)
-		e.down.e, e.up.e = e, e
-		rd.reliableEv(MsgVSADown, ni, e.chi, e.edge, &e.down)
-	}
-	// As in startLBI: the last reply revokes the epoch timer.
-	nd.expire = rd.r.eng.AfterEv(rd.epochWindow(n), &nd.expireEv)
-}
-
-// finishVSA closes n's epoch: rendezvous-pair what this subtree can,
-// then flow the unpaired remainder up the parent edge (or into the
-// round's continuation at the root).
-//
-//lbvet:hotpath
-func (rd *round) finishVSA(n *ktree.Node, col *lbnode.VSACollect, parent *vsaEdge) {
-	for _, p := range col.Rendezvous(parent == nil, rd.cfg().RendezvousThreshold, rd.global.Lmin) {
-		rd.emitPair(n, p)
-	}
-	left := col.Lists()
-	if parent != nil {
-		parent.sub = left
-		rd.reliableEv(MsgVSAUp, parent.chi, parent.nd.ni, parent.edge, &parent.up)
-		return
-	}
-	rd.vsaSwept(left)
-}
-
-type vsaDown struct{ e *vsaEdge }
-
-//lbvet:hotpath
-func (d *vsaDown) HandleMsg() bool {
-	e := d.e
-	e.nd.rd.startVSANode(e.c, e)
-	return true
-}
-
-func (d *vsaDown) SettleMsg(bool) {}
-
-type vsaUp struct{ e *vsaEdge }
-
-//lbvet:hotpath
-func (u *vsaUp) HandleMsg() bool {
-	e := u.e
-	nd := e.nd
-	if nd.col.ChildReply(e.sub) {
-		nd.rd.r.eng.Cancel(nd.expire)
-		nd.rd.finishVSA(nd.n, &nd.col, nd.parent)
-	}
-	return true
-}
-
-func (u *vsaUp) SettleMsg(bool) {}
-
-type vsaExpire struct{ nd *vsaNode }
-
-func (x *vsaExpire) RunEvent() {
-	nd := x.nd
-	if timedOut, expired := nd.col.Expire(); expired {
-		nd.rd.res.TimedOutChildren += timedOut
-		nd.rd.finishVSA(nd.n, &nd.col, nd.parent)
-	}
 }
 
 // emitPair sends the pairing to both endpoints and starts the two-phase

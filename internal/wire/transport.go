@@ -17,11 +17,13 @@ import (
 // every further attempt doubles the wait up to RetryCap, with a jittered
 // fraction added so synchronized retry storms decorrelate.
 const (
-	DefaultRetryBase    = 25 * time.Millisecond
-	DefaultRetryCap     = time.Second
-	DefaultWriteTimeout = 5 * time.Second
-	DefaultMaxAttempts  = 8
+	DefaultRetryBase   = 25 * time.Millisecond
+	DefaultRetryCap    = time.Second
+	DefaultMaxAttempts = 8
 )
+
+// writeTimeout is the per-connection dial and write deadline.
+const writeTimeout = 5 * time.Second
 
 // Config parameterizes a Transport.
 type Config struct {
@@ -44,11 +46,9 @@ type Config struct {
 
 	// RetryBase/RetryCap/MaxAttempts shape the per-message
 	// retransmission ladder; zero values take the defaults above.
-	// WriteTimeout is the per-connection write deadline.
-	RetryBase    time.Duration
-	RetryCap     time.Duration
-	WriteTimeout time.Duration
-	MaxAttempts  int
+	RetryBase   time.Duration
+	RetryCap    time.Duration
+	MaxAttempts int
 
 	// Seed feeds the retry-jitter stream (any fixed value; jitter only
 	// decorrelates timers, it carries no protocol meaning).
@@ -131,9 +131,6 @@ func NewTransport(cfg Config) (*Transport, error) {
 	}
 	if cfg.RetryCap <= 0 {
 		cfg.RetryCap = DefaultRetryCap
-	}
-	if cfg.WriteTimeout <= 0 {
-		cfg.WriteTimeout = DefaultWriteTimeout
 	}
 	if cfg.MaxAttempts <= 0 {
 		cfg.MaxAttempts = DefaultMaxAttempts
@@ -306,11 +303,11 @@ func (t *Transport) peerConn(dst int) (*conn, error) {
 	addr := t.cfg.Addrs[dst]
 	t.mu.Unlock()
 
-	nc, err := net.DialTimeout("tcp", addr, t.cfg.WriteTimeout)
+	nc, err := net.DialTimeout("tcp", addr, writeTimeout)
 	if err != nil {
 		return nil, err
 	}
-	c := newConn(nc, t.cfg.WriteTimeout)
+	c := newConn(nc, writeTimeout)
 	if _, err := handshakeDial(c, Hello{Version: Version, ClusterID: t.cfg.ClusterID, Rank: t.cfg.Rank, Role: "peer"}); err != nil {
 		c.close()
 		return nil, err
@@ -394,7 +391,7 @@ func (t *Transport) acceptLoop() {
 // HelloAck (so the dialer can diagnose) and a close.
 func (t *Transport) serveConn(nc net.Conn) {
 	defer t.wg.Done()
-	c := newConn(nc, t.cfg.WriteTimeout)
+	c := newConn(nc, writeTimeout)
 	defer c.close()
 	t.mu.Lock()
 	if t.closed {
